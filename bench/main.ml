@@ -282,6 +282,8 @@ let table3 () =
         J_obj
           [
             ("test", J_str spec.Spec.id);
+            ("phase1_time_a", J_num ra.Runner.run_stats.Engine.wall_time);
+            ("phase1_time_b", J_num rb.Runner.run_stats.Engine.wall_time);
             ("group_time_a", J_num ga.Soft.Grouping.gr_group_time);
             ("group_time_b", J_num gb.Soft.Grouping.gr_group_time);
             ("check_time", J_num check_time);
@@ -726,7 +728,7 @@ let parallel_crosscheck () =
 let incremental_crosscheck () =
   header
     "Incremental crosscheck: per-pair scratch instances vs row-major sessions \
-     (shared blasting + learnt-clause reuse)";
+     (row conjunct blasted once + learnt-clause reuse)";
   Printf.printf "%-14s %7s | %9s %9s | %9s %9s | %7s | %6s %8s\n" "Test" "pairs"
     "t(scratch)" "pairs/s" "t(incr)" "pairs/s" "speedup" "reuse" "learnt";
   let tests = [ Spec.eth_flow_mod (); Spec.cs_flow_mods (); Spec.short_symb () ] in
@@ -758,11 +760,9 @@ let incremental_crosscheck () =
       let b = Soft.Grouping.of_run (get_run spec (List.nth agents 2)) in
       let measure incremental =
         (* cold memo cache on both sides: the amortization under test is
-           the in-session reuse, not warm whole-query memo hits; sharing
-           off so the incremental side actually opens row sessions rather
-           than adopting the shared blasted base *)
+           the in-session reuse, not warm whole-query memo hits *)
         Smt.Solver.clear_cache ();
-        Soft.Crosscheck.check ~jobs:1 ~incremental ~share:false a b
+        Soft.Crosscheck.check ~jobs:1 ~incremental a b
       in
       let learnt_before = st.Smt.Solver.learnt_retained in
       let assumes_before = st.Smt.Solver.assumption_solves in

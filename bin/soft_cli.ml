@@ -152,34 +152,10 @@ let no_incremental =
     & info [ "no-incremental" ]
         ~doc:
           "Solve every crosscheck pair on a fresh SAT instance instead of the \
-           default row-major incremental sessions (shared bit-blasting of the \
-           row conjunct, assumption literals, learnt-clause reuse).  Reports \
+           default row-major incremental sessions (the row conjunct \
+           bit-blasted once, assumption literals, learnt-clause reuse).  Reports \
            are byte-identical either way; this is an escape hatch for \
            isolating solver issues and for benchmarking the amortization.")
-
-let no_share_base =
-  Arg.(
-    value
-    & flag
-    & info [ "no-share-base" ]
-        ~doc:
-          "Disable the shared blasted base in the crosscheck: each row \
-           re-blasts its own conjunct in a per-row session instead of every \
-           worker adopting a copy of one shared CNF prefix.  Only affects \
-           unbudgeted incremental runs (budgeted runs never share).  Reports \
-           are byte-identical either way; this is an escape hatch for \
-           isolating solver issues and for benchmarking the sharing win.")
-
-let no_clause_exchange =
-  Arg.(
-    value
-    & flag
-    & info [ "no-clause-exchange" ]
-        ~doc:
-          "Disable cross-domain learnt-clause exchange between the workers' \
-           adopted copies of the shared base (only active with sharing on and \
-           more than one job).  Exchange affects solve times, never verdicts; \
-           reports are byte-identical either way.")
 
 let no_canon =
   Arg.(
@@ -537,8 +513,8 @@ let check_cmd =
              restartable in place.")
   in
   let run file_a file_b split budget_ms max_conflicts checkpoint resume jobs no_incremental
-      no_canon no_prune no_share_base no_clause_exchange certify chaos_seed chaos_rate
-      chaos_points replay record task_deadline_ms max_retries backoff_ms mem_ceiling_mb =
+      no_canon no_prune certify chaos_seed chaos_rate chaos_points replay record
+      task_deadline_ms max_retries backoff_ms mem_ceiling_mb =
     apply_budget budget_ms max_conflicts;
     apply_canon no_canon;
     apply_certify certify;
@@ -552,8 +528,7 @@ let check_cmd =
       let b = Soft.Grouping.of_saved (Harness.Serialize.load file_b) in
       match
         Soft.Crosscheck.check ?split ?checkpoint ?resume ~jobs
-          ~incremental:(not no_incremental) ~prune:(not no_prune)
-          ~share:(not no_share_base) ~exchange:(not no_clause_exchange) ?supervise a b
+          ~incremental:(not no_incremental) ~prune:(not no_prune) ?supervise a b
       with
       | outcome ->
         Format.printf "%a@." Soft.Crosscheck.pp outcome;
@@ -578,10 +553,9 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Phase 2: crosscheck two phase-1 runs for inconsistencies.")
     Term.(
       const run $ file_a $ file_b $ split $ budget_ms $ max_conflicts $ checkpoint $ resume
-      $ jobs $ no_incremental $ no_canon $ no_prune $ no_share_base $ no_clause_exchange
-      $ certify $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg
-      $ record_schedule_arg $ task_deadline_ms $ max_retries
-      $ backoff_ms $ mem_ceiling_mb)
+      $ jobs $ no_incremental $ no_canon $ no_prune $ certify $ chaos_seed $ chaos_rate
+      $ chaos_points $ replay_schedule_arg $ record_schedule_arg $ task_deadline_ms
+      $ max_retries $ backoff_ms $ mem_ceiling_mb)
 
 (* --- live validation (compare --validate-live) ------------------------ *)
 
@@ -686,9 +660,9 @@ let compare_cmd =
     Arg.(value & flag & info [ "cases" ] ~doc:"Print a concrete reproducer per inconsistency.")
   in
   let run agent_a agent_b test cases max_paths strategy split budget_ms max_conflicts
-      deadline_ms jobs no_incremental no_canon no_prune no_share_base no_clause_exchange
-      certify validate validate_live sock_a sock_b chaos_seed chaos_rate chaos_points
-      replay record task_deadline_ms max_retries backoff_ms mem_ceiling_mb =
+      deadline_ms jobs no_incremental no_canon no_prune certify validate validate_live sock_a
+      sock_b chaos_seed chaos_rate chaos_points replay record task_deadline_ms max_retries
+      backoff_ms mem_ceiling_mb =
     apply_budget budget_ms max_conflicts;
     apply_canon no_canon;
     apply_certify certify;
@@ -705,9 +679,8 @@ let compare_cmd =
     | Ok live -> (
       match
         Soft.Pipeline.compare_agents ~max_paths ~strategy ?deadline_ms ?split ~jobs
-          ~incremental:(not no_incremental) ~prune:(not no_prune)
-          ~share:(not no_share_base) ~exchange:(not no_clause_exchange) ?supervise
-          ~validate agent_a agent_b test
+          ~incremental:(not no_incremental) ~prune:(not no_prune) ?supervise ~validate
+          agent_a agent_b test
       with
       | c ->
         Format.printf "%a@." Soft.Pipeline.pp_comparison c;
@@ -741,7 +714,7 @@ let compare_cmd =
     Term.(
       const run $ agent_a $ agent_b $ test $ cases $ max_paths $ strategy $ split
       $ budget_ms $ max_conflicts $ deadline_ms $ jobs $ no_incremental $ no_canon
-      $ no_prune $ no_share_base $ no_clause_exchange $ certify $ validate
+      $ no_prune $ certify $ validate
       $ validate_live_flag $ live_socket_a $ live_socket_b
       $ chaos_seed $ chaos_rate $ chaos_points $ replay_schedule_arg $ record_schedule_arg
       $ task_deadline_ms $ max_retries

@@ -40,53 +40,6 @@ val check :
     means the budget bit; callers retry with {!Solver.check} (scratch)
     and should count the fallback in [scratch_fallbacks]. *)
 
-(** {1 Shared blasted base}
-
-    The parallel crosscheck's alternative to per-row sessions: every
-    path condition of both agents is Tseitin-blasted once (definitions
-    only — nothing asserted, so the prefix is satisfiable by
-    construction) into one frozen SAT instance, and each worker domain
-    adopts a private {!Sat.copy} on first use instead of re-blasting.
-    Queries are decided purely under assumptions (the conjuncts'
-    defining literals), so adopted instances never gain problem
-    clauses — the invariant that makes cross-domain learnt-clause
-    exchange sound. *)
-
-type shared
-
-val make_shared : ?ring:Exchange.t -> Expr.boolean list -> shared
-(** [make_shared conds] blasts every condition (memoized by expr id)
-    into the frozen prefix.  With [?ring], adopted copies additionally
-    export their low-LBD learnt clauses to — and import from — the
-    given exchange ring.  The value is immutable and safe to share
-    across domains. *)
-
-val adopt : shared -> Sat.t
-(** The calling domain's adopted copy, created ({!Sat.copy} + exchange
-    attachment, bumping [bases_adopted]) on first call and memoized in
-    domain-local state thereafter.  Exposed for tests; {!check_shared}
-    adopts internally. *)
-
-val release : shared -> unit
-(** Drop the calling domain's adopted copy (if any) from the
-    domain-local memo, releasing its memory.  The next {!check_shared}
-    on this domain re-adopts. *)
-
-val check_shared :
-  ?use_interval:bool ->
-  ?use_cache:bool ->
-  ?budget:Solver.budget ->
-  shared ->
-  Expr.boolean list ->
-  Solver.result
-(** {!Solver.check}-identical answers decided by an assumption solve on
-    the calling domain's adopted copy: same frontend pipeline
-    ({!Solver.check_with}), same one-hook-draw-per-query discipline,
-    Sat answers confirmed by a hook-suppressed scratch solve, certify
-    mode auto-falls back to the proof-checked scratch path.  A conjunct
-    that was not part of [make_shared]'s condition set is handled by a
-    plain scratch solve.  Bumps [shared_solves] per assumption solve. *)
-
 type attribution =
   | Base_refuted
       (** the failed-assumption core was empty: the session's base (plus

@@ -53,8 +53,6 @@ let no_budget = { b_max_conflicts = None; b_max_decisions = None; b_timeout_ms =
 let budget ?max_conflicts ?max_decisions ?timeout_ms () =
   { b_max_conflicts = max_conflicts; b_max_decisions = max_decisions; b_timeout_ms = timeout_ms }
 
-let is_unlimited b = b = no_budget
-
 type stats = {
   mutable queries : int;
   mutable const_hits : int;
@@ -79,7 +77,7 @@ type stats = {
   mutable rows_pruned : int;
   mutable pairs_skipped_by_pruning : int;
   mutable subsumed_groups : int;
-  mutable shared_solves : int;
+  mutable shared_solves : int; (* retired: always 0, see solver.mli *)
   mutable bases_adopted : int;
   mutable clauses_exported : int;
   mutable clauses_imported : int;
@@ -274,10 +272,6 @@ let reset_stats () =
   s.rows_pruned <- 0;
   s.pairs_skipped_by_pruning <- 0;
   s.subsumed_groups <- 0;
-  s.shared_solves <- 0;
-  s.bases_adopted <- 0;
-  s.clauses_exported <- 0;
-  s.clauses_imported <- 0;
   s.expr_nodes <- 0
 
 (* [expr_nodes] is a gauge over a single global table, not a per-domain
@@ -312,10 +306,6 @@ let merge_stats ~into:dst (src : stats) =
   dst.rows_pruned <- dst.rows_pruned + src.rows_pruned;
   dst.pairs_skipped_by_pruning <- dst.pairs_skipped_by_pruning + src.pairs_skipped_by_pruning;
   dst.subsumed_groups <- dst.subsumed_groups + src.subsumed_groups;
-  dst.shared_solves <- dst.shared_solves + src.shared_solves;
-  dst.bases_adopted <- dst.bases_adopted + src.bases_adopted;
-  dst.clauses_exported <- dst.clauses_exported + src.clauses_exported;
-  dst.clauses_imported <- dst.clauses_imported + src.clauses_imported;
   dst.expr_nodes <- max dst.expr_nodes src.expr_nodes
 
 (* --- memo cache ------------------------------------------------------- *)
@@ -729,12 +719,6 @@ let pp_stats fmt () =
   if s.canon_small_skips > 0 then
     Format.fprintf fmt " canon_small_skips=%d (threshold=%d nodes)"
       s.canon_small_skips s.canon_threshold_nodes;
-  if s.bases_adopted > 0 then
-    Format.fprintf fmt " shared_solves=%d bases_adopted=%d"
-      s.shared_solves s.bases_adopted;
-  if s.clauses_exported > 0 || s.clauses_imported > 0 then
-    Format.fprintf fmt " clauses_exported=%d clauses_imported=%d"
-      s.clauses_exported s.clauses_imported;
   if s.rows_pruned > 0 || s.subsumed_groups > 0 then
     Format.fprintf fmt " rows_pruned=%d pairs_skipped=%d subsumed_groups=%d"
       s.rows_pruned s.pairs_skipped_by_pruning s.subsumed_groups

@@ -51,8 +51,6 @@ val no_budget : budget
 val budget :
   ?max_conflicts:int -> ?max_decisions:int -> ?timeout_ms:int -> unit -> budget
 
-val is_unlimited : budget -> bool
-
 val set_default_budget : budget -> unit
 (** Budget applied to queries that pass no explicit [?budget] {e in the
     calling domain}.  The CLI sets this from
@@ -183,17 +181,14 @@ type stats = {
       (** row-prune probes avoided because the row's condition is
           subsumed by an already-pruned row's condition *)
   mutable shared_solves : int;
-      (** queries answered by an assumption solve on an adopted copy of
-          the shared blasted base *)
   mutable bases_adopted : int;
-      (** shared-base adoptions: one per (domain, shared base) — the
-          number of [Sat.copy]s made in place of full re-blasts *)
   mutable clauses_exported : int;
-      (** low-LBD learnt clauses this domain published to the
-          cross-domain exchange ring *)
   mutable clauses_imported : int;
-      (** learnt clauses this domain pulled from the exchange ring at
-          solve entries and restart boundaries *)
+      (** [shared_solves] to [clauses_imported] are retired and always
+          0.  They counted the shared blasted base and its learnt-clause
+          exchange, both removed; the fields stay only so existing
+          readers of the record keep compiling.  Not reset, merged or
+          printed. *)
   mutable expr_nodes : int;
       (** gauge: total nodes in the global {!Expr} hash-cons tables at the
           last {!capture_expr_stats}; merged with [max], not [+] *)
@@ -208,8 +203,9 @@ val reset_stats : unit -> unit
 
 val merge_stats : into:stats -> stats -> unit
 (** [merge_stats ~into src] adds every counter of [src] into [into] —
-    except [expr_nodes], a gauge over one global table, which merges with
-    [max] so folding several workers never double-counts shared nodes.
+    except the retired fields, which it skips, and [expr_nodes], a gauge
+    over one global table, which merges with [max] so folding several
+    workers never double-counts shared nodes.
     Parallel drivers use it to fold worker-domain counters into the
     parent's record after the workers have quiesced; it performs no
     synchronization of its own. *)

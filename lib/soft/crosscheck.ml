@@ -408,14 +408,8 @@ let solver_pool_hooks () =
   in
   (worker_init, worker_exit)
 
-(* Bounds the cross-domain learnt-clause ring (see {!Smt.Exchange}): big
-   enough that a worker's restart-to-restart window rarely overwrites
-   unread glue clauses, small enough that a drain stays trivial. *)
-let exchange_capacity = 256
-
 let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(jobs = 1)
-    ?(incremental = true) ?(prune = true) ?(share = true) ?(exchange = true)
-    ?(force_pool = false) ?supervise
+    ?(incremental = true) ?(prune = true) ?(force_pool = false) ?supervise
     ?(on_found = fun (_ : inconsistency) -> ())
     ?(on_warning = default_warning) (a : Grouping.grouped) (b : Grouping.grouped) =
   if a.Grouping.gr_test <> b.Grouping.gr_test then
@@ -636,20 +630,6 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
      query fall back to scratch anyway (see {!Smt.Session.check}) — both
      use the plain per-pair path. *)
   let use_incremental = incremental && split = None && not (Solver.certify_enabled ()) in
-  (* The shared-blasted-base path additionally requires an unlimited
-     budget.  A budgeted query's Unknown depends on the solver state it
-     runs against, and an adopted copy's state depends on everything its
-     domain solved before — schedule-dependent at [-j N].  Unbudgeted
-     verdicts are semantic (only Sat/Unsat can come back), so sharing —
-     and the learnt-clause exchange riding on it — can change solve
-     times but never report bytes.  Budgeted runs keep the per-row
-     session path, whose instances live and die inside one row task.
-     The shared path runs at [-j 1] too, so every jobs count takes the
-     same code path (byte-identity is a diff, not an argument). *)
-  let effective_budget =
-    match budget with Some b -> b | None -> Solver.get_default_budget ()
-  in
-  let use_shared = share && use_incremental && Solver.is_unlimited effective_budget in
   (* Pass 2 proper, parameterized by the supervision handle.  Without one
      ([sup = None]) every solve is byte-for-byte the unsupervised code
      path; with one, each pair attempt runs under a watchdog token and the
@@ -675,34 +655,14 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
        scales with rows, row-internal solver locality survives
        scheduling, and at [-j 1] the sequence of solves and records is
        exactly the old per-pair loop's (rows and the js inside each stay
-       ascending).  Which back end a row's pairs use:
-       - shared:  assumption solves on an adopted copy of the one shared
-                  blasted base (the default unbudgeted path, see
-                  [use_shared]);
-       - session: a per-row {!Smt.Session} with C_A(i) as its base
-                  (budgeted or [~share:false] incremental runs);
-       - scratch: per-pair scratch solves ([~incremental:false] or
-                  [?split]). *)
+       ascending).  A row's pairs use one of two back ends:
+       - session: a per-row {!Smt.Session} with C_A(i) blasted once as
+                  its base and each C_B(j) decided under an activation
+                  literal (the default, see [use_incremental]);
+       - scratch: per-pair scratch solves ([~incremental:false],
+                  [?split], certify mode, and rows too small for a
+                  session to pay off). *)
     let rows = rows_of work in
-    let shared =
-      if not (use_shared && Array.length rows > 0) then None
-      else begin
-        (* blast every group condition of both sides once, here on the
-           caller's domain; workers adopt copies instead of re-blasting
-           row bases.  The exchange ring only exists when there is more
-           than one domain to exchange with. *)
-        let ring =
-          if jobs > 1 && exchange then
-            Some (Exchange.create ~capacity:exchange_capacity)
-          else None
-        in
-        let cond_of (g : Grouping.group) = g.Grouping.g_cond in
-        Some
-          (Session.make_shared ?ring
-             (Array.to_list (Array.map cond_of groups_a)
-             @ Array.to_list (Array.map cond_of groups_b)))
-      end
-    in
     (* A per-row session only pays off once its bit-blasted C_A(i) prefix
        is reused.  What the session saves is re-blasting the base for
        each of the remaining [n-1] pairs — proportional to
@@ -716,52 +676,11 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
        48·165 ≈ 8k node-pairs and up win 3×.  The old fixed [n < 3]
        cutoff — and the first node-count form at 96 — both kept the
        losing rows incremental; the measured break-even sits between
-       2.4k and 8k, so the cutoff is set at 3k.  (The shared path has no
-       per-row blast to amortize, so it needs no such cutoff.) *)
+       2.4k and 8k, so the cutoff is set at 3k. *)
     let session_overhead_nodes = 3000 in
     let solve_row (i, js) =
       let ga = groups_a.(i) in
-      match shared with
-      | Some sh ->
-        let in_shared j =
-          let gb = groups_b.(j) in
-          match
-            Session.check_shared ?budget sh [ ga.Grouping.g_cond; gb.Grouping.g_cond ]
-          with
-          | Solver.Sat witness -> Pair_sat witness
-          | Solver.Unsat -> Pair_unsat
-          | Solver.Unknown _ ->
-            (* unreachable under the unlimited budget [use_shared]
-               demands, but degrade exactly like the session path *)
-            let st = Solver.stats () in
-            st.Solver.scratch_fallbacks <- st.Solver.scratch_fallbacks + 1;
-            sat_pair ?budget ?retry ga gb
-        in
-        List.map
-          (fun j ->
-            match sup with
-            | None ->
-              let fate =
-                match guard_pair ~key:(pair_key (i, j)) (fun () -> in_shared j) with
-                | Some v -> F_ok v
-                | None -> F_fault
-              in
-              ((i, j), (fate, 0))
-            | Some sup -> (
-              let solve_attempt ~attempt =
-                Chaos.with_solver_faults ~key:(pair_key (i, j)) (fun () ->
-                    (* retries leave the adopted instance (its trail is
-                       unwound at the next solve's entry) and rerun from
-                       scratch, like the session path's retries *)
-                    if attempt = 0 then in_shared j
-                    else sat_pair ?budget ?retry ga groups_b.(j))
-              in
-              match Supervise.run_retrying sup ~key:(pair_key (i, j)) solve_attempt with
-              | `Done (v, retries) -> ((i, j), (F_ok v, retries))
-              | `Quarantine (tax, msg, retries) ->
-                ((i, j), (F_quarantine (tax, msg), retries))))
-          js
-      | None when use_incremental ->
+      if use_incremental then begin
         let tiny =
           (List.length js - 1) * Expr.bool_size ga.Grouping.g_cond
           < session_overhead_nodes
@@ -830,7 +749,8 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
               | `Quarantine (tax, msg, retries) ->
                 ((i, j), (F_quarantine (tax, msg), retries)))
             js)
-      | None ->
+      end
+      else
         List.map
           (fun j ->
             let gb = groups_b.(j) in
@@ -863,11 +783,7 @@ let check ?split ?budget ?retry ?checkpoint ?(checkpoint_every = 64) ?resume ?(j
            | Error (e, _) ->
              let i, js = rows.(k) in
              record_task_crash (List.map (fun j -> (i, j)) js) e)
-         ~jobs solve_row rows);
-    (* worker domains die with their adopted copies; the caller's domain
-       (which runs the tasks itself at [-j 1]) must drop its own copy or
-       it would accumulate one per crosscheck for the process lifetime *)
-    match shared with Some sh -> Session.release sh | None -> ()
+         ~jobs solve_row rows)
   in
   (match supervise with
    | None -> run_pass2 None

@@ -98,8 +98,6 @@ val check :
   ?jobs:int ->
   ?incremental:bool ->
   ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?force_pool:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?on_found:(inconsistency -> unit) ->
@@ -149,26 +147,9 @@ val check :
     from scratch and the fault-injection stream is query-aligned (see
     {!Smt.Session}).  An explicit [split] or an enabled certify regime
     forces the scratch path (chunked queries share no row conjunct; an
-    assumption-failure Unsat has no replayable DRUP proof).
-
-    [share] (default true): when the effective budget is unlimited (and
-    [incremental] applies), bit-blast {e every} group condition of both
-    sides once into a shared immutable CNF prefix ({!Smt.Session.make_shared});
-    each worker domain adopts a {!Smt.Sat.copy} instead of re-blasting
-    per-row bases, and every pair is decided by a pure assumption solve
-    on its adopted copy (counted in [shared_solves]/[bases_adopted]).
-    Budgeted runs ignore [share] — a budgeted Unknown could then depend
-    on cross-domain scheduling — and use per-row sessions as before.
-    Because unbudgeted verdicts are semantic, reports stay byte-identical
-    to [~share:false] and across every [jobs].  [--no-share-base] on the
-    CLI.
-
-    [exchange] (default true): with sharing active and [jobs > 1], the
-    adopted copies exchange low-LBD learnt clauses through a bounded
-    lock-free ring ({!Smt.Exchange}), imported at solve entries and
-    restart boundaries (counted in [clauses_exported]/[clauses_imported]).
-    Sound because adopted copies never gain problem clauses; affects
-    solve time only, never verdicts.  [--no-clause-exchange] on the CLI.
+    assumption-failure Unsat has no replayable DRUP proof), and so does a
+    row too small for its bit-blasted prefix to pay off (counted in
+    [tiny_session_fallbacks]).
 
     [force_pool] (default false): run pass 2 through the full pool
     machinery even at [jobs = 1] (one worker domain, coordinator,

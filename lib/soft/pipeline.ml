@@ -24,13 +24,13 @@ type comparison = {
      cannot produce it (it has runs, not agents to re-execute) *)
 }
 
-let compare_runs ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?prune ?share
-    ?exchange ?supervise ?on_warning spec run_a run_b =
+let compare_runs ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?prune ?supervise
+    ?on_warning spec run_a run_b =
   let grouped_a = Grouping.of_run run_a in
   let grouped_b = Grouping.of_run run_b in
   let outcome =
-    Crosscheck.check ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?prune ?share
-      ?exchange ?supervise ?on_warning grouped_a grouped_b
+    Crosscheck.check ?split ?budget ?checkpoint ?resume ?jobs ?incremental ?prune ?supervise
+      ?on_warning grouped_a grouped_b
   in
   {
     c_test = spec;
@@ -63,7 +63,7 @@ let reraise_or = function
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let compare_agents ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs = 1)
-    ?incremental ?prune ?share ?exchange ?supervise ?(validate = false) agent_a agent_b
+    ?incremental ?prune ?supervise ?(validate = false) agent_a agent_b
     (spec : Test_spec.t) =
   let exec agent () =
     Runner.execute ?max_paths ?strategy ?deadline_ms ?solver_budget agent spec
@@ -79,8 +79,8 @@ let compare_agents ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(job
       (a, reraise_or rb)
   in
   let c =
-    compare_runs ?split ?budget:solver_budget ~jobs ?incremental ?prune ?share ?exchange
-      ?supervise spec run_a run_b
+    compare_runs ?split ?budget:solver_budget ~jobs ?incremental ?prune ?supervise spec run_a
+      run_b
   in
   if not validate then c
   else
@@ -99,8 +99,7 @@ type suite_result = {
 }
 
 let compare_suite ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs = 1)
-    ?incremental ?prune ?share ?exchange ?supervise ?(validate = false) agent_a agent_b
-    specs =
+    ?incremental ?prune ?supervise ?(validate = false) agent_a agent_b specs =
   let comparisons = ref [] in
   let failures = ref [] in
   List.iter
@@ -128,8 +127,8 @@ let compare_suite ?max_paths ?strategy ?deadline_ms ?solver_budget ?split ?(jobs
       | Error f -> failures := f :: !failures
       | Ok (run_a, run_b) ->
         let c =
-          compare_runs ?split ?budget:solver_budget ~jobs ?incremental ?prune ?share
-            ?exchange ?supervise spec run_a run_b
+          compare_runs ?split ?budget:solver_budget ~jobs ?incremental ?prune ?supervise
+            spec run_a run_b
         in
         let c =
           if not validate then c

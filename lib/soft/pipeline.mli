@@ -25,8 +25,6 @@ val compare_runs :
   ?jobs:int ->
   ?incremental:bool ->
   ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?on_warning:(string -> unit) ->
   Harness.Test_spec.t ->
@@ -36,9 +34,7 @@ val compare_runs :
 (** Phase 2 only, over existing phase-1 runs.  The optional arguments
     (including [jobs], the crosscheck worker-domain count, [incremental],
     the row-major session solving toggle, [prune], the UNSAT-core row
-    pruning toggle, [share]/[exchange], the shared-blasted-base and
-    learnt-clause-exchange toggles, and [supervise], the watchdog
-    policy) are forwarded to {!Crosscheck.check}. *)
+    pruning toggle, and [supervise], the watchdog policy) are forwarded to {!Crosscheck.check}. *)
 
 val compare_agents :
   ?max_paths:int ->
@@ -49,8 +45,6 @@ val compare_agents :
   ?jobs:int ->
   ?incremental:bool ->
   ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->
@@ -82,8 +76,6 @@ val compare_suite :
   ?jobs:int ->
   ?incremental:bool ->
   ?prune:bool ->
-  ?share:bool ->
-  ?exchange:bool ->
   ?supervise:Harness.Supervise.policy ->
   ?validate:bool ->
   Switches.Agent_intf.t ->
